@@ -14,8 +14,9 @@ Run:  python examples/performance_tradeoff.py           (about a minute)
 
 import sys
 
-from repro.analysis import paper_table1_values, render_table1, run_table1
+from repro.analysis import paper_table1_values, render_table1
 from repro.farm import FarmExecutor
+from repro.plan.builtin import table1_plan
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
     print("measuring the five scenarios"
           + (" (quick mode)" if quick else "")
           + (f" on {jobs} workers" if jobs > 1 else "") + " ...\n")
-    values = run_table1(farm=FarmExecutor(jobs=jobs), **kwargs)
+    values = table1_plan(**kwargs).run(FarmExecutor(jobs=jobs))
     print(render_table1(values, paper=paper_table1_values()))
     print()
 

@@ -14,7 +14,8 @@ Packages:
   router behaviours;
 * :mod:`repro.traffic` — iperf/ping analogues with full TCP Reno;
 * :mod:`repro.scenarios` — the paper's evaluation scenarios;
-* :mod:`repro.analysis` — experiment runners for every table and figure.
+* :mod:`repro.plan` — every table and figure as a runnable plan;
+* :mod:`repro.analysis` — records, reporting and the experiment CLI.
 
 Quickstart::
 

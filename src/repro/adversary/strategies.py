@@ -13,7 +13,7 @@ off the trusted element's internal cadence subscribe to the hooks the
 compare exposes for exactly this purpose:
 :meth:`~repro.core.compare.CompareCore.add_sweep_listener` (expiry-sweep
 ticks) and
-:meth:`~repro.core.membership.QuorumMembershipMixin.add_membership_listener`
+:meth:`~repro.core.membership.QuorumVoter.add_membership_listener`
 (quarantine / re-admission transitions).
 
 Every tampered packet is counted on the

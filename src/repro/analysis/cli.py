@@ -36,7 +36,7 @@ from repro.analysis.report import (
     render_series,
     render_table1,
 )
-from repro.analysis.runners import paper_table1_values
+from repro.analysis.records import paper_table1_values
 from repro.farm import FarmExecutor, FarmTaskError, ResultCache
 from repro.plan.builtin import builtin_plan
 from repro.scenarios.registry import scenario_names

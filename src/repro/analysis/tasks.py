@@ -8,9 +8,9 @@ as the ``dataclasses.asdict`` form of :class:`TestbedParams` (or
 both the topology build and per-flow costs like ``udp_send_cost``, so
 they cannot diverge.
 
-The figure runners in :mod:`repro.analysis.runners` decompose into
-lists of :class:`~repro.farm.spec.RunSpec` over these tasks plus pure
-merge functions.
+The built-in plans (:mod:`repro.plan.builtin`) expand into lists of
+:class:`~repro.farm.spec.RunSpec` over these tasks, and the merge
+registry (:mod:`repro.plan.mergers`) folds the results into records.
 """
 
 from __future__ import annotations

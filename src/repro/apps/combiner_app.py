@@ -43,10 +43,6 @@ class ControlChannelReleaseSession(Session):
         claim: Optional[int] = None,
     ) -> None:
         self.stats.tx_messages += 1
-        if self.transport._tracers:
-            self.transport._trace(
-                "tx", self.spec, packet, {"branch": branch, "claim": claim}
-            )
         self.app.send_packet_out(
             self.endpoint, PacketOut(packet=packet, actions=[], in_port=0)
         )

@@ -175,20 +175,6 @@ class CombinerChain:
         """The collecting endpoints' transport (DES backend by default)."""
         return self.endpoint_a.transport
 
-    @property
-    def transports(self) -> Dict[str, Transport]:
-        """Every node's transport, keyed by node name (one transport per
-        node attachment, as with real sockets)."""
-        nodes = [self.endpoint_a, self.endpoint_b, *self.routers]
-        if self.compare_host is not None:
-            nodes.append(self.compare_host)
-        return {node.name: node.transport for node in nodes}
-
-    def add_tracer(self, fn) -> None:
-        """Observe every transport message anywhere in the chain."""
-        for transport in self.transports.values():
-            transport.add_tracer(fn)
-
     def install_mac_route(self, mac: MacAddress, toward: str) -> None:
         """Program every untrusted router to send ``mac`` toward endpoint
         'a' or 'b' (the paper routes on MAC destination only)."""

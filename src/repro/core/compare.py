@@ -36,16 +36,15 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence
 from repro.core.alarms import (
     ALARM_DOS_SUSPECTED,
     ALARM_MINORITY_DIVERGENCE,
-    ALARM_ROUTER_UNAVAILABLE,
     ALARM_SINGLE_SOURCE_PACKET,
     AlarmSink,
 )
-from repro.core.membership import QuorumMembershipMixin
+from repro.core.membership import QuorumVoter
 from repro.core.policy import BitExactPolicy, ComparePolicy
-from repro.core.votes import VoteBook, VoteEntry
+from repro.core.votes import VoteEntry, VoteOutcome
 from repro.net.packet import Packet
 from repro.obs.metrics import active_registry
-from repro.sim import PeriodicTask, Simulator, TraceBus
+from repro.sim import Simulator, TraceBus
 
 
 @dataclass
@@ -177,12 +176,15 @@ class CompareContext:
         self.block_branch = block_branch
 
 
-class CompareCore(QuorumMembershipMixin):
-    """The compare logic plus its single-server processing model.
+class CompareCore(QuorumVoter):
+    """The data-plane voter: the shared vote loop plus the compare's
+    single-server processing model, its bounded packet cache, DoS
+    strikes and expiry-sweep listeners.
 
-    The quarantine / probation / re-admission state machine lives in
-    :class:`~repro.core.membership.QuorumMembershipMixin`, shared with
-    the control-plane voter.
+    The vote loop, liveness and divergence bookkeeping and the
+    quarantine / probation / re-admission state machine live in
+    :class:`~repro.core.membership.QuorumVoter`, shared with the
+    control-plane voter.
     """
 
     def __init__(
@@ -194,15 +196,10 @@ class CompareCore(QuorumMembershipMixin):
         trace_bus: Optional[TraceBus] = None,
         branch_ids: Optional[Sequence[int]] = None,
     ) -> None:
-        config.validate()
-        self.sim = sim
-        self.config = config
-        self.name = name
-        self.alarms = alarm_sink or AlarmSink(trace_bus)
-        self.trace_bus = trace_bus
-        self.branch_ids = list(branch_ids) if branch_ids is not None else list(range(config.k))
-        self.book = VoteBook(config.effective_quorum(), config.buffer_timeout)
-        self.stats = CompareStats()
+        super().__init__(
+            sim, config, name, alarm_sink, trace_bus, branch_ids,
+            config.buffer_timeout, CompareStats(),
+        )
         self._contexts: Dict[str, CompareContext] = {}
         self._busy_until = 0.0
         self._in_service = 0
@@ -210,23 +207,9 @@ class CompareCore(QuorumMembershipMixin):
         self._dup_strikes: Dict[int, int] = {}
         self._craft_strikes: Dict[int, int] = {}
         self._blocked_branches: Dict[int, float] = {}
-        # liveness bookkeeping
-        self._miss_counts: Dict[int, int] = {b: 0 for b in self.branch_ids}
-        self._unavailable: Dict[int, bool] = {b: False for b in self.branch_ids}
-        # minority-divergence bookkeeping: how often each branch's bytes
-        # expired unconfirmed, and whether the alarm already latched
-        self._divergence_counts: Dict[int, int] = {b: 0 for b in self.branch_ids}
-        self._divergence_alarmed: Dict[int, bool] = {}
-        # Time of each branch's last clean (counted, non-duplicate) vote:
-        # entries older than this must not count as misses — they date
-        # from before the branch recovered (stale-count guard).
-        self._last_clean_vote: Dict[int, float] = {}
-        self._init_membership()
-        self.add_membership_listener(self._membership_divergence_reset)
         # observers of the expiry-sweep tick (adversary strategies that
         # time themselves against the vote cadence subscribe here)
         self._sweep_listeners: List[Callable[[float], None]] = []
-        self._sweeper = PeriodicTask(sim, config.buffer_timeout, self._sweep)
         # Latency/quorum histograms bound from the registry active at
         # construction time; None when metrics are disabled so the
         # release path pays a single test per packet.
@@ -272,7 +255,7 @@ class CompareCore(QuorumMembershipMixin):
         self.stats.submissions += 1
         cost = self.config.proc_time + self.config.proc_per_byte * packet.wire_len
         if cost <= 0.0 and self.sim.now >= self._busy_until:
-            self._serve(packet, branch, context, claim)
+            self._serve(packet, branch, context.scope, claim)
             return
         if self._in_service >= self.config.service_queue_capacity:
             self.stats.queue_drops += 1
@@ -285,7 +268,7 @@ class CompareCore(QuorumMembershipMixin):
 
         def _serve_one() -> None:
             self._in_service -= 1
-            self._serve(packet, branch, context, claim)
+            self._serve(packet, branch, context.scope, claim)
 
         realm = self.sim.realm
         if realm is not None:
@@ -296,39 +279,19 @@ class CompareCore(QuorumMembershipMixin):
             self.sim.schedule_at(finish, _serve_one)
 
     def _serve(
-        self,
-        packet: Packet,
-        branch: int,
-        context: CompareContext,
-        claim: Optional[int],
+        self, packet: Packet, branch: int, scope: str, claim: Optional[int]
     ) -> None:
         now = self.sim.now
-        if not self._sweeper.running:
-            self._sweeper.start(self.config.buffer_timeout)
         if len(self.book) >= self.config.cache_capacity:
             self._cleanup(now)
-        quarantined = branch in self._quarantined
-        key: Hashable = (context.scope, claim, self.config.policy.key(packet))
-        outcome = self.book.observe(
-            key, branch, now, packet, claim=claim, countable=not quarantined
-        )
-        if outcome.evicted_stale is not None:
-            self._finalise(outcome.evicted_stale)
+        key: Hashable = (scope, claim, self.config.policy.key(packet))
+        self._vote(key, branch, now, packet, claim)
+
+    def _voted(self, outcome: VoteOutcome, branch: int, packet: Packet) -> None:
         if outcome.is_branch_duplicate:
-            self.stats.branch_duplicates += 1
-            self._note_duplicate(branch, context)
+            self._note_duplicate(branch, outcome.entry.key[0])
         else:
             self._dup_strikes[branch] = 0
-            if not quarantined:
-                # First clean vote after an outage heals the liveness
-                # bookkeeping right here, not at entry-finalise time:
-                # otherwise outage-era entries expiring after the branch
-                # recovered would re-alarm a healed router.
-                self._last_clean_vote[branch] = now
-                if self._miss_counts.get(branch):
-                    self._miss_counts[branch] = 0
-                if self._unavailable.get(branch):
-                    self._unavailable[branch] = False
         if packet.trace_id is not None:
             self._trace(
                 "compare.vote",
@@ -337,28 +300,13 @@ class CompareCore(QuorumMembershipMixin):
                 votes=outcome.entry.distinct_branches,
                 duplicate=outcome.is_branch_duplicate,
                 late=outcome.late_copy,
-                probation=quarantined,
+                probation=not outcome.countable,
             )
-        if quarantined:
-            self.stats.quarantined_copies += 1
-            if outcome.entry.released and not outcome.is_branch_duplicate:
-                # The copy matches a packet the active majority already
-                # released: a clean duplicate, probation's currency.
-                self._note_probation_clean(branch)
-            return
-        if outcome.late_copy:
-            self.stats.late_copies += 1
+        if outcome.late_copy and outcome.countable:
             self._trace("compare.late_copy", branch=branch)
-            return
-        if outcome.newly_released:
-            self._do_release(outcome.entry, now, context=context, branch=branch)
 
     def _do_release(
-        self,
-        entry: VoteEntry,
-        now: float,
-        context: Optional[CompareContext] = None,
-        branch: Optional[int] = None,
+        self, entry: VoteEntry, now: float, branch: Optional[int] = None
     ) -> None:
         """Forward an entry's winning copy and settle probation credit."""
         self.stats.released += 1
@@ -372,8 +320,7 @@ class CompareCore(QuorumMembershipMixin):
             trace=entry.packet.trace_id,
             latency=now - entry.first_seen,
         )
-        if context is None:
-            context = self._contexts.get(entry.key[0])
+        context = self._contexts.get(entry.key[0])
         if context is not None:
             context.release(entry.packet)
         # Probation copies that preceded the quorum are confirmed clean
@@ -401,11 +348,6 @@ class CompareCore(QuorumMembershipMixin):
         self.stats.cleanup_stall_time += stall
         self._trace("compare.cleanup", scanned=scanned, expired=len(expired), stall=stall)
 
-    @property
-    def sweep_period(self) -> float:
-        """The expiry-sweep cadence (one tick per ``buffer_timeout``)."""
-        return self.config.buffer_timeout
-
     def add_sweep_listener(self, fn: Callable[[float], None]) -> None:
         """Observe each expiry-sweep tick (called with ``sim.now``)."""
         self._sweep_listeners.append(fn)
@@ -419,73 +361,74 @@ class CompareCore(QuorumMembershipMixin):
             now = self.sim.now
             for fn in list(self._sweep_listeners):
                 fn(now)
-        for entry in self.book.pop_expired(self.sim.now):
-            self._finalise(entry)
-        if not len(self.book):
-            self._sweeper.stop()
+        super()._sweep()
 
     def _finalise(self, entry: VoteEntry) -> None:
         """Account for an entry leaving the cache (expiry or eviction)."""
-        now = self.sim.now
         self.stats.copies_finalised += entry.total_copies()
         if entry.released:
-            self.stats.expired_released += 1
-            for missing in entry.missing_branches(self.branch_ids):
-                if missing in self._quarantined or missing in entry.probation_counts:
-                    # Quarantined branches are expected to be absent from
-                    # the count; a probation copy is not "missing" either.
-                    continue
-                self._note_missing(missing, entry.first_seen)
-            for present in entry.branches():
-                self._miss_counts[present] = 0
-                if self._unavailable.get(present):
-                    self._unavailable[present] = False
-        else:
-            self.stats.expired_unreleased += 1
-            for waiting in list(entry.probation_counts):
-                # The quarantined branch delivered bytes no active
-                # majority ever confirmed: probation starts over.
-                self._reset_probation(waiting)
-            if entry.distinct_branches == 1:
-                branch = entry.branches()[0]
-                self.alarms.raise_alarm(
-                    now,
-                    ALARM_SINGLE_SOURCE_PACKET,
-                    self.name,
-                    branch=branch,
-                    copies=entry.total_copies(),
-                )
-                self._note_crafted(branch)
-            for present in entry.branches():
-                if present in self._quarantined or present in entry.probation_counts:
-                    continue
-                self._note_divergence(present)
-            self._trace(
-                "compare.drop_unreleased",
-                votes=entry.distinct_branches,
+            self._expire_released(entry)
+            return
+        self.stats.expired_unreleased += 1
+        for waiting in list(entry.probation_counts):
+            # The quarantined branch delivered bytes no active
+            # majority ever confirmed: probation starts over.
+            self._reset_probation(waiting)
+        if entry.distinct_branches == 1:
+            branch = entry.branches()[0]
+            self.alarms.raise_alarm(
+                self.sim.now,
+                ALARM_SINGLE_SOURCE_PACKET,
+                self.name,
+                branch=branch,
                 copies=entry.total_copies(),
-                trace=entry.packet.trace_id,
             )
+            self._note_crafted(branch, entry.key[0])
+        for present in entry.branches():
+            if present in self._quarantined or present in entry.probation_counts:
+                # Quarantined since it voted: its bytes are already
+                # accounted for by the quarantine, not as divergence.
+                continue
+            self.stats.divergent_copies += 1
+            if self._c_branch_divergence is not None:
+                self._c_branch_divergence.labels(self.name, str(present)).inc()
+            self._note_divergence(present)
+        self._trace(
+            "compare.drop_unreleased",
+            votes=entry.distinct_branches,
+            copies=entry.total_copies(),
+            trace=entry.packet.trace_id,
+        )
+
+    def _raise_divergence_alarm(self, branch: int, count: int) -> None:
+        self.stats.divergence_alarms += 1
+        self.alarms.raise_alarm(
+            self.sim.now,
+            ALARM_MINORITY_DIVERGENCE,
+            self.name,
+            branch=branch,
+            divergent_entries=count,
+        )
 
     # ------------------------------------------------------------------
-    # DoS and liveness logic
+    # DoS mitigation
     # ------------------------------------------------------------------
-    def _note_duplicate(self, branch: int, context: CompareContext) -> None:
+    def _note_duplicate(self, branch: int, scope: str) -> None:
         strikes = self._dup_strikes.get(branch, 0) + 1
         self._dup_strikes[branch] = strikes
         if strikes >= self.config.dup_threshold:
             self._dup_strikes[branch] = 0
-            self._block(branch, context, reason="duplicate-flood")
+            self._block(branch, scope, reason="duplicate-flood")
 
-    def _note_crafted(self, branch: int) -> None:
+    def _note_crafted(self, branch: int, scope: str) -> None:
         strikes = self._craft_strikes.get(branch, 0) + 1
         self._craft_strikes[branch] = strikes
         if strikes >= self.config.craft_threshold:
             self._craft_strikes[branch] = 0
-            context = self._contexts.get(next(iter(self._contexts), ""), None)
-            self._block(branch, context, reason="crafted-flood")
+            self._block(branch, scope, reason="crafted-flood")
 
-    def _block(self, branch: int, context: Optional[CompareContext], reason: str) -> None:
+    def _block(self, branch: int, scope: str, reason: str) -> None:
+        """Advise the switch collecting ``scope`` to block ``branch``."""
         now = self.sim.now
         until = self._blocked_branches.get(branch, 0.0)
         if now < until:
@@ -495,76 +438,9 @@ class CompareCore(QuorumMembershipMixin):
         self.alarms.raise_alarm(
             now, ALARM_DOS_SUSPECTED, self.name, branch=branch, reason=reason
         )
+        context = self._contexts.get(scope)
         if context is not None and context.block_branch is not None:
             context.block_branch(branch, self.config.block_duration)
-
-    def _note_divergence(self, branch: int) -> None:
-        """A (non-quarantined) branch voted for bytes that expired without
-        any active majority confirming them.  The count is cumulative and
-        the alarm latches: it surfaces the silent colluding minority (at
-        k=5, two branches delivering identical altered copies never trip
-        the single-source alarm, and intermittent divergence resets every
-        consecutive miss counter) without changing the vote itself.
-        """
-        count = self._divergence_counts.get(branch, 0) + 1
-        self._divergence_counts[branch] = count
-        self.stats.divergent_copies += 1
-        if self._c_branch_divergence is not None:
-            self._c_branch_divergence.labels(self.name, str(branch)).inc()
-        if (
-            count >= self.config.divergence_threshold
-            and not self._divergence_alarmed.get(branch)
-        ):
-            self._divergence_alarmed[branch] = True
-            self.stats.divergence_alarms += 1
-            self.alarms.raise_alarm(
-                self.sim.now,
-                ALARM_MINORITY_DIVERGENCE,
-                self.name,
-                branch=branch,
-                divergent_entries=count,
-            )
-
-    def _membership_divergence_reset(
-        self, kind: str, branch: int, now: float
-    ) -> None:
-        # A re-admitted branch served its probation; its divergence
-        # history (which likely drove the quarantine) starts over.
-        if kind == "readmit":
-            self._divergence_counts[branch] = 0
-            self._divergence_alarmed.pop(branch, None)
-
-    def _note_missing(self, branch: int, first_seen: float) -> None:
-        if first_seen < self._last_clean_vote.get(branch, -1.0):
-            # The entry's packet predates the branch's recovery; counting
-            # it would re-alarm a healed router on stale history.
-            return
-        count = self._miss_counts.get(branch, 0) + 1
-        self._miss_counts[branch] = count
-        if count >= self.config.miss_threshold and not self._unavailable.get(branch):
-            self._unavailable[branch] = True
-            self.alarms.raise_alarm(
-                self.sim.now,
-                ALARM_ROUTER_UNAVAILABLE,
-                self.name,
-                branch=branch,
-                consecutive_misses=count,
-            )
-
-    # ------------------------------------------------------------------
-    # self-healing: quarantine / probation / re-admission — inherited
-    # from QuorumMembershipMixin (shared with ctrl.ControlCompare)
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Finalise everything still buffered (end-of-run accounting)."""
-        for entry in self.book.entries():
-            self._finalise(entry)
-        self.book.clear()
-        self._sweeper.stop()
-
-    def _trace(self, topic: str, **data: object) -> None:
-        if self.trace_bus is not None:
-            self.trace_bus.emit(self.sim.now, topic, self.name, **data)
 
     def __repr__(self) -> str:
         return (

@@ -80,10 +80,6 @@ class ControlChannelCollectSession(Session):
     ) -> None:
         self.stats.tx_messages += 1
         endpoint = self.endpoint
-        if self.transport._tracers:
-            self.transport._trace(
-                "tx", self.spec, packet, {"branch": branch, "claim": claim}
-            )
         endpoint.stats.packet_ins += 1
         endpoint._send_to_controller(
             PacketIn(

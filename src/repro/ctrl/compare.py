@@ -7,12 +7,12 @@ the canonical byte encoding (:mod:`repro.ctrl.digest`), and releases a
 message to the switch only once a strict majority of replicas produced a
 byte-identical copy.  It reuses the same machinery end to end:
 
-* :class:`~repro.core.votes.VoteBook` for quorum accounting — the vote
-  key is ``(datapath_id, digest(message))`` and the entry's payload slot
-  holds the message object itself;
-* :class:`~repro.core.membership.QuorumMembershipMixin` for quarantine,
-  dynamic quorum and probation re-admission — byte for byte the state
-  machine the data-plane compare runs;
+* :class:`~repro.core.membership.QuorumVoter`, the vote loop the
+  data-plane compare runs: :class:`~repro.core.votes.VoteBook` quorum
+  accounting (the vote key is ``(datapath_id, digest(message))`` and the
+  entry's payload slot holds the message object itself), liveness and
+  divergence bookkeeping, quarantine, dynamic quorum and probation
+  re-admission;
 * the shared alarm kinds, so the existing
   :class:`~repro.chaos.quarantine.QuarantineController` closes the loop
   unchanged (pointed at this voter instead of a compare core).
@@ -34,16 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
-from repro.core.alarms import (
-    ALARM_MINORITY_DIVERGENCE,
-    ALARM_ROUTER_UNAVAILABLE,
-    AlarmSink,
-)
-from repro.core.membership import QuorumMembershipMixin
-from repro.core.votes import VoteBook, VoteEntry
+from repro.core.alarms import ALARM_MINORITY_DIVERGENCE, AlarmSink
+from repro.core.membership import QuorumVoter
+from repro.core.votes import VoteEntry, VoteOutcome
 from repro.ctrl.digest import digest
 from repro.obs.metrics import active_registry
-from repro.sim import PeriodicTask, Simulator, TraceBus
+from repro.sim import Simulator, TraceBus
 
 __all__ = ["ControlCompareConfig", "CtrlStats", "ControlCompare"]
 
@@ -125,8 +121,14 @@ class CtrlStats:
         return data
 
 
-class ControlCompare(QuorumMembershipMixin):
-    """Majority vote over replica control messages, per switch."""
+class ControlCompare(QuorumVoter):
+    """Majority vote over replica control messages, per switch.
+
+    The shared vote loop (:class:`~repro.core.membership.QuorumVoter`)
+    keyed by ``(datapath_id, digest(message))``, releasing through a
+    per-switch callback; this class adds the taint and entry-trace
+    bookkeeping and the blocked-decision accounting.
+    """
 
     trace_prefix = "ctrl"
 
@@ -139,26 +141,12 @@ class ControlCompare(QuorumMembershipMixin):
         trace_bus: Optional[TraceBus] = None,
         replica_ids: Optional[Sequence[int]] = None,
     ) -> None:
-        config.validate()
-        self.sim = sim
-        self.config = config
-        self.name = name
-        self.alarms = alarm_sink or AlarmSink(trace_bus)
-        self.trace_bus = trace_bus
-        self.branch_ids = (
-            list(replica_ids) if replica_ids is not None else list(range(config.k))
+        super().__init__(
+            sim, config, name, alarm_sink, trace_bus, replica_ids,
+            config.vote_timeout, CtrlStats(),
         )
-        self.book = VoteBook(config.effective_quorum(), config.vote_timeout)
-        self.stats = CtrlStats()
         #: datapath_id -> release callable (delivers one winning message)
         self._releases: Dict[int, Callable[[object], None]] = {}
-        # liveness bookkeeping (same shape as CompareCore's)
-        self._miss_counts: Dict[int, int] = {b: 0 for b in self.branch_ids}
-        self._unavailable: Dict[int, bool] = {b: False for b in self.branch_ids}
-        self._last_clean_vote: Dict[int, float] = {}
-        # divergence bookkeeping: replica -> unconfirmed-divergent strikes
-        self._divergence_strikes: Dict[int, int] = {}
-        self._divergence_alarmed: Dict[int, bool] = {}
         # vote keys a compromised replica emitted (simulation-side truth,
         # used only to score the malicious_released acceptance metric)
         self._tainted: Set[Tuple[int, bytes]] = set()
@@ -167,8 +155,6 @@ class ControlCompare(QuorumMembershipMixin):
         # `repro obs trace` stitch control-plane spans onto a packet's
         # data-plane trajectory
         self._entry_trace: Dict[Tuple[int, bytes], int] = {}
-        self._init_membership()
-        self._sweeper = PeriodicTask(sim, config.vote_timeout, self._sweep)
         registry = active_registry()
         if registry.enabled:
             self._c_votes = registry.counter(
@@ -220,58 +206,35 @@ class ControlCompare(QuorumMembershipMixin):
         PacketIn caused this message (when that packet is marked); it is
         attached to the decision's span records and never affects voting.
         """
-        now = self.sim.now
         self.stats.submissions += 1
         if self._c_votes is not None:
             self._c_votes.inc()
-        if not self._sweeper.running:
-            self._sweeper.start(self.config.vote_timeout)
         key: Tuple[int, bytes] = (datapath_id, digest(message))
         if tainted:
             self._tainted.add(key)
         if trace is not None:
             self._entry_trace.setdefault(key, trace)
-        quarantined = replica in self._quarantined
-        outcome = self.book.observe(
-            key, replica, now, message, countable=not quarantined
-        )
-        if outcome.evicted_stale is not None:
-            self._finalise(outcome.evicted_stale)
-        if outcome.is_branch_duplicate:
-            self.stats.branch_duplicates += 1
-        elif not quarantined:
-            # A clean counted vote heals the liveness bookkeeping
-            # immediately (same stale-count guard as the data plane).
-            self._last_clean_vote[replica] = now
-            if self._miss_counts.get(replica):
-                self._miss_counts[replica] = 0
-            if self._unavailable.get(replica):
-                self._unavailable[replica] = False
+        self._vote(key, replica, self.sim.now, message)
+
+    def _voted(self, outcome: VoteOutcome, replica: int, message: object) -> None:
+        key = outcome.entry.key
         vote_data = dict(
             branch=replica,
-            dpid=datapath_id,
+            dpid=key[0],
             votes=outcome.entry.distinct_branches,
             kind=type(message).__name__,
             duplicate=outcome.is_branch_duplicate,
             late=outcome.late_copy,
-            probation=quarantined,
+            probation=not outcome.countable,
         )
         known_trace = self._entry_trace.get(key)
         if known_trace is not None:
             vote_data["trace"] = known_trace
         self._trace("ctrl.vote", **vote_data)
-        if quarantined:
-            self.stats.quarantined_copies += 1
-            if outcome.entry.released and not outcome.is_branch_duplicate:
-                self._note_probation_clean(replica)
-            return
-        if outcome.late_copy:
-            self.stats.late_copies += 1
-            return
-        if outcome.newly_released:
-            self._do_release(outcome.entry, now)
 
-    def _do_release(self, entry: VoteEntry, now: float) -> None:
+    def _do_release(
+        self, entry: VoteEntry, now: float, branch: Optional[int] = None
+    ) -> None:
         """Deliver an entry's winning message and settle probation."""
         self.stats.released += 1
         key = entry.key
@@ -303,26 +266,12 @@ class ControlCompare(QuorumMembershipMixin):
     # ------------------------------------------------------------------
     # expiry path
     # ------------------------------------------------------------------
-    def _sweep(self) -> None:
-        for entry in self.book.pop_expired(self.sim.now):
-            self._finalise(entry)
-        if not len(self.book):
-            self._sweeper.stop()
-
     def _finalise(self, entry: VoteEntry) -> None:
         """Account for a decision leaving the book (expiry/eviction)."""
         self._tainted.discard(entry.key)
         entry_trace = self._entry_trace.pop(entry.key, None)
         if entry.released:
-            self.stats.expired_released += 1
-            for missing in entry.missing_branches(self.branch_ids):
-                if missing in self._quarantined or missing in entry.probation_counts:
-                    continue
-                self._note_missing(missing, entry.first_seen)
-            for present in entry.branches():
-                self._miss_counts[present] = 0
-                if self._unavailable.get(present):
-                    self._unavailable[present] = False
+            self._expire_released(entry)
             return
         # Voided: nobody assembled a majority for these bytes.
         if entry.branch_counts:
@@ -345,63 +294,19 @@ class ControlCompare(QuorumMembershipMixin):
         for waiting in list(entry.probation_counts):
             # Probation bytes no active majority confirmed: start over.
             self._reset_probation(waiting)
+        # Every replica that voted for voided bytes diverged, including
+        # one quarantined since it voted.
         for voter in entry.branches():
             self._note_divergence(voter)
 
-    # ------------------------------------------------------------------
-    # failure signatures
-    # ------------------------------------------------------------------
-    def _note_missing(self, replica: int, first_seen: float) -> None:
-        if first_seen < self._last_clean_vote.get(replica, -1.0):
-            return
-        count = self._miss_counts.get(replica, 0) + 1
-        self._miss_counts[replica] = count
-        if count >= self.config.miss_threshold and not self._unavailable.get(replica):
-            self._unavailable[replica] = True
-            self.alarms.raise_alarm(
-                self.sim.now,
-                ALARM_ROUTER_UNAVAILABLE,
-                self.name,
-                branch=replica,
-                consecutive_misses=count,
-            )
-
-    def _note_divergence(self, replica: int) -> None:
-        strikes = self._divergence_strikes.get(replica, 0) + 1
-        self._divergence_strikes[replica] = strikes
-        if (
-            strikes >= self.config.divergence_threshold
-            and not self._divergence_alarmed.get(replica)
-        ):
-            self._divergence_alarmed[replica] = True
-            self.alarms.raise_alarm(
-                self.sim.now,
-                ALARM_MINORITY_DIVERGENCE,
-                self.name,
-                branch=replica,
-                strikes=strikes,
-            )
-
-    def readmit_branch(self, branch: int, reason: str = "probation_complete") -> bool:
-        readmitted = super().readmit_branch(branch, reason)
-        if readmitted:
-            # A re-admitted replica earns a clean slate on both
-            # signatures; a relapse re-alarms from scratch.
-            self._divergence_strikes[branch] = 0
-            self._divergence_alarmed[branch] = False
-        return readmitted
-
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Finalise everything still buffered (end-of-run accounting)."""
-        for entry in self.book.entries():
-            self._finalise(entry)
-        self.book.clear()
-        self._sweeper.stop()
-
-    def _trace(self, topic: str, **data: object) -> None:
-        if self.trace_bus is not None:
-            self.trace_bus.emit(self.sim.now, topic, self.name, **data)
+    def _raise_divergence_alarm(self, replica: int, strikes: int) -> None:
+        self.alarms.raise_alarm(
+            self.sim.now,
+            ALARM_MINORITY_DIVERGENCE,
+            self.name,
+            branch=replica,
+            strikes=strikes,
+        )
 
     def __repr__(self) -> str:
         return (

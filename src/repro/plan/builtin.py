@@ -1,11 +1,10 @@
 """Built-in plans: every paper figure/table as an ExperimentPlan.
 
-These builders are the single source of truth for the evaluation grids.
-Three consumers share them:
+These builders are the single source of truth for the evaluation grids
+and the one experiment entry path: build a plan and call
+``.run(farm)``.  Their consumers:
 
-* the legacy ``specs_*``/``run_*`` API in :mod:`repro.analysis.runners`
-  (thin shims over these builders, bit-identical to the historical
-  hand-wired expansion);
+* library callers, benchmarks and examples (``fig7_plan().run(farm)``);
 * the experiment CLI's figure commands (aliases for
   ``builtin_plan(name, quick=...)``);
 * the checked-in JSON artefacts under ``examples/plans/`` (each file is

@@ -131,10 +131,6 @@ class Testbed:
         """The chain's compare-plane transport (DES backend)."""
         return self.chain.transport
 
-    def add_transport_tracer(self, fn):
-        """Observe every transport message anywhere in the chain."""
-        self.chain.add_tracer(fn)
-
 
 def build_testbed(
     variant: str,

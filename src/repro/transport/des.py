@@ -17,7 +17,7 @@ against ``benchmarks/transport_baseline.json``):
 
 Reception stays on the DES delivery path (links schedule
 ``node.receive``); nodes route inbound packets into
-:meth:`~repro.transport.base.Session.deliver` so tracers and counters
+:meth:`~repro.transport.base.Session.deliver` so the session counters
 see both directions.  The packet-train batch tier rides *below* this
 interface (shared-batch port sends), which is fine: batches never cross
 a vote boundary, and the batch fast paths are DES-only by construction.
@@ -77,12 +77,6 @@ class DesSession(Session):
             dup = packet.copy()
             dup.meta = {"claim": claim}
             packet = dup
-        if self.transport._tracers:
-            self.transport._trace(
-                "tx", self.spec, packet,
-                {"branch": branch if branch is not None else self.spec.branch,
-                 "claim": claim},
-            )
         self.port.send(packet)
 
 

@@ -67,11 +67,6 @@ class UdpSession(Session):
         self._seq += 1
         self.stats.tx_messages += 1
         transport: "UdpTransport" = self.transport  # type: ignore[assignment]
-        if transport._tracers:
-            transport._trace(
-                "tx", self.spec, packet,
-                {"branch": branch, "claim": claim, "seq": seq},
-            )
         data = encode_message(
             MSG_DATA,
             self.spec.role,

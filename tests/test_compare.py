@@ -255,6 +255,23 @@ class TestDosMitigation:
         h.sim.run(until=0.1)
         assert h.core.stats.blocks_issued >= 1
 
+    def test_crafted_flood_blocks_on_the_flooded_scope(self):
+        # scope "s" registers first; the flood arrives on "s_other", so
+        # the advised block belongs to the switch collecting "s_other"
+        h = Harness(craft_threshold=10)
+        other_blocked = []
+        other = CompareContext(
+            "s_other", lambda packet: None,
+            block_branch=lambda branch, dur: other_blocked.append(branch),
+        )
+        for branch in range(3):
+            h.submit(pkt(ident=1), branch)
+        for i in range(12):
+            h.core.submit(pkt(ident=1000 + i), 2, other)
+        h.sim.run(until=0.1)
+        assert other_blocked == [2]
+        assert h.blocked == []
+
 
 class TestProcessingModel:
     def test_proc_time_delays_release(self):

@@ -6,8 +6,7 @@
   ``benchmarks/transport_baseline.json``.  New fields may appear
   (counters grow over PRs); pinned ones may not drift.
 * wire framing round-trips and rejects malformed datagrams;
-* loopback pairs and the redundant transport (fusion + first-copy-wins
-  dedup, tracer hooks, stats rollups);
+* the session registry and its stats rollups;
 * UDP smoke: the live multi-process demo's verdict — alarms, quarantine
   transitions, released-sequence fingerprint — matches the DES twin on
   the same packet-index fault schedule.
@@ -26,8 +25,7 @@ from repro.transport import (
     ROLE_COLLECT,
     ROLE_FANOUT,
     ROLE_RELEASE,
-    LoopbackTransport,
-    RedundantTransport,
+    DesTransport,
     SessionSpec,
     TransportError,
 )
@@ -150,7 +148,7 @@ class TestWireFraming:
 
 
 # ----------------------------------------------------------------------
-# session registry, loopback, redundant fusion
+# session registry
 # ----------------------------------------------------------------------
 def _pkt(ident=0, payload=b"hello"):
     return Packet.udp(
@@ -160,14 +158,28 @@ def _pkt(ident=0, payload=b"hello"):
     )
 
 
+class _RecordingPort:
+    """Stands in for a DES port: keeps what the session hands it."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, packet):
+        self.sent.append(packet)
+
+
 class TestSessions:
     def test_session_memoised_by_spec(self):
-        transport, _peer = LoopbackTransport.pair()
+        transport = DesTransport(sim=None)
         spec = SessionSpec("sA", ROLE_COLLECT, 1)
-        assert transport.session(spec) is transport.session(spec)
-        assert transport.session(SessionSpec("sA", ROLE_COLLECT, 2)) is not (
-            transport.session(spec)
+        first = transport.session(spec, port=_RecordingPort())
+        assert transport.session(spec) is first
+        other = transport.session(
+            SessionSpec("sA", ROLE_COLLECT, 2), port=_RecordingPort()
         )
+        assert other is not first
+        with pytest.raises(TransportError):
+            transport.session(SessionSpec("sB", ROLE_COLLECT, 1))
 
     def test_spec_validation(self):
         with pytest.raises(TransportError):
@@ -175,66 +187,20 @@ class TestSessions:
         with pytest.raises(TransportError):
             SessionSpec("", ROLE_COLLECT).validate()
 
-    def test_loopback_pair_delivers_and_traces(self):
-        a, b = LoopbackTransport.pair()
-        spec = SessionSpec("sA", ROLE_COLLECT, 0)
-        got, traces = [], []
-        b.session(spec).set_receiver(lambda p, m: got.append((p, m)))
-        a.add_tracer(traces.append)
-        b.add_tracer(traces.append)
+    def test_des_session_counts_both_directions(self):
+        transport = DesTransport(sim=None)
+        port = _RecordingPort()
+        session = transport.attach(SessionSpec("sA", ROLE_FANOUT, 0), port)
+        got = []
+        session.set_receiver(lambda p, m: got.append((p, m)))
         packet = _pkt()
-        a.session(spec).send(packet, branch=0, claim=3)
-        assert len(got) == 1
-        assert got[0][0] is packet
-        assert got[0][1]["branch"] == 0 and got[0][1]["claim"] == 3
-        assert [t.direction for t in traces] == ["tx", "rx"]
-        assert a.stats()["collect:sA:0"]["tx_messages"] == 1
-        assert b.stats()["collect:sA:0"]["rx_messages"] == 1
-
-    def test_loopback_drop_without_receiver_session(self):
-        a, _b = LoopbackTransport.pair()
-        session = a.session(SessionSpec("sA", ROLE_FANOUT, 1))
-        session.send(_pkt())
-        assert session.stats.drops == 1
-
-    def test_redundant_dedup_first_copy_wins(self):
-        k = 3
-        pairs = [LoopbackTransport.pair(f"inf{i}") for i in range(k)]
-        red = RedundantTransport([a for a, _ in pairs], name="red")
-        spec = SessionSpec("sA", ROLE_COLLECT)
-        got = []
-        fused = red.session(spec)
-        fused.set_receiver(lambda p, m: got.append(m))
-        # receivers on the far side loop each inferior straight back
-        for index, (a, b) in enumerate(pairs):
-            far = b.session(spec)
-            near = a.session(spec)
-            far.set_receiver(
-                lambda p, m, s=far, i=index: s.send(p, branch=i)
-            )
-        fused.send(_pkt(ident=1))
-        # one copy per inferior went out, exactly one was delivered up
-        assert fused.stats.tx_messages == 1
-        assert len(got) == 1
-        assert fused.deduplicated == k - 1
-        assert sum(fused.firsts.values()) == 1
-
-    def test_redundant_straggler_after_window(self):
-        a0, _b0 = LoopbackTransport.pair("w0")
-        red = RedundantTransport([a0], window=2)
-        spec = SessionSpec("sA", ROLE_COLLECT)
-        got = []
-        fused = red.session(spec)
-        fused.set_receiver(lambda p, m: got.append(m["seq"]))
-        # drive the merge hook straight through the inferior session
-        inferior = fused.inferiors[0]
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 10})
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 10})
-        assert fused.deduplicated == 1
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 11})
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 12})  # evicts 10
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 10})  # fresh again
-        assert got == [10, 11, 12, 10]
+        session.send(packet)
+        assert port.sent == [packet]  # ownership transfer: no copy
+        session.deliver(packet, {"branch": 0})
+        assert got == [(packet, {"branch": 0})]
+        assert transport.stats()["fanout:sA:0"] == {
+            "tx_messages": 1, "rx_messages": 1, "drops": 0,
+        }
 
 
 # ----------------------------------------------------------------------
